@@ -312,8 +312,11 @@ class ThreeVPlugin(ProtocolPlugin):
 
     def _release_locks_everywhere(self, node, instance: SubtxnInstance) -> None:
         """Asynchronous clean-up phase: release commute locks on every node
-        the transaction touched (Section 5)."""
-        for target in instance.txn.nodes:
+        the transaction touched (Section 5).
+
+        Sorted: each send draws a latency sample, so set order must not
+        leak the per-process hash seed into the run."""
+        for target in sorted(instance.txn.nodes):
             if target == node.node_id:
                 node.locks.release_all(instance.txn.name)
             else:
