@@ -13,7 +13,7 @@ import typing
 from repro.analysis.serializability import (
     Violation,
     atomic_visibility_violations,
-    reads_checked,
+    reads_by_txn_and_key,
     snapshot_violations,
 )
 from repro.txn.history import History, TxnKind
@@ -54,14 +54,15 @@ def audit(history: History, workload=None,
             generated the traffic (must be in ``"bitmask"`` mode).
         check_snapshots: Also run the strict Theorem 4.1 oracle.
     """
-    fractured = atomic_visibility_violations(history)
+    if check_snapshots and workload is None:
+        raise ValueError("snapshot checking requires the workload oracle")
+    grouped = reads_by_txn_and_key(history)
+    fractured = atomic_visibility_violations(history, grouped)
     snapshot: typing.List[Violation] = []
     if check_snapshots:
-        if workload is None:
-            raise ValueError("snapshot checking requires the workload oracle")
-        snapshot = snapshot_violations(history, workload)
+        snapshot = snapshot_violations(history, workload, grouped)
     return AnomalyReport(
-        reads_checked=reads_checked(history),
+        reads_checked=sum(len(by_key) for by_key in grouped.values()),
         fractured_reads=len(fractured),
         snapshot_mismatches=len(snapshot),
         aborted_txns=history.aborted_count(),

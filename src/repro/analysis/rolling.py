@@ -34,7 +34,14 @@ import collections
 import typing
 
 from repro.analysis.anomalies import AnomalyReport
-from repro.analysis.serializability import Violation, effectively_distinct
+from repro.analysis.serializability import (
+    MaskIndex,
+    Violation,
+    corrected_entities,
+    fold_committed,
+    fractured_read,
+    snapshot_mismatches,
+)
 from repro.txn.history import ReadEvent, StreamingHistory, TxnKind, TxnRecord
 
 #: Evidence cap: counts are exact, but only this many Violation records
@@ -78,8 +85,7 @@ class RollingAuditor:
             maxlen=MAX_EVIDENCE
         )
         #: entity -> version -> OR of committed recording amounts.
-        self._masks: typing.Dict[int, typing.Dict[
-            typing.Optional[int], int]] = {}
+        self._masks: MaskIndex = {}
         #: Parked committed reads: (record, {key: [bal events]}).
         self._pending: typing.Deque[typing.Tuple[
             TxnRecord, typing.Dict[typing.Hashable,
@@ -100,10 +106,7 @@ class RollingAuditor:
         if amounts is not None and record.name in amounts:
             entity, amount = amounts.pop(record.name)
             if not record.aborted:
-                by_version = self._masks.setdefault(entity, {})
-                by_version[record.version] = (
-                    by_version.get(record.version, 0) | amount
-                )
+                fold_committed(self._masks, entity, record.version, amount)
             self._drain()
             return
         if record.aborted or record.kind != TxnKind.READ or not events:
@@ -114,14 +117,10 @@ class RollingAuditor:
             by_key.setdefault(event.key, []).append(event)
         self.reads_checked += len(by_key)
         for key, key_events in by_key.items():
-            values = {(event.node, event.value) for event in key_events}
-            if len(effectively_distinct(
-                    value for _node, value in values)) > 1:
+            violation = fractured_read(record.name, key, key_events)
+            if violation is not None:
                 self.fractured_reads += 1
-                self.violations.append(Violation(
-                    kind="fractured-read", txn=record.name, key=key,
-                    details=f"per-node values {sorted(values)!r}",
-                ))
+                self.violations.append(violation)
         if not self.check_snapshots:
             return
         bal_events = {
@@ -170,43 +169,13 @@ class RollingAuditor:
             self._pending.popleft()
             self._check_snapshot(record, bal_events)
 
-    def _expected_mask(self, entity: int,
-                       max_version: typing.Optional[int]) -> int:
-        mask = 0
-        for version, bits in self._masks.get(entity, {}).items():
-            if max_version is not None and (
-                version is None or version > max_version
-            ):
-                continue
-            mask |= bits
-        return mask
-
     def _check_snapshot(self, record: TxnRecord, bal_events: typing.Dict[
             typing.Hashable, typing.List[ReadEvent]]) -> None:
-        corrected = frozenset(
-            getattr(self.workload, "correction_entities", {}).values()
-        )
-        for key, events in bal_events.items():
-            # Replicated keys are slot-qualified ("bal:38#0"); the slot
-            # never changes which entity's committed mask applies.
-            entity = int(str(key).split(":", 1)[1].split("#", 1)[0])
-            if entity in corrected:
-                continue
-            expected = self._expected_mask(entity, record.version)
-            for event in events:
-                observed = event.value if event.value is not None else 0
-                if observed != expected:
-                    missing = expected & ~observed
-                    extra = observed & ~expected
-                    self.snapshot_mismatches += 1
-                    self.violations.append(Violation(
-                        kind="snapshot-mismatch", txn=record.name, key=key,
-                        details=(
-                            f"node {event.node}: version {record.version}, "
-                            f"missing mask {missing:#x}, "
-                            f"extra mask {extra:#x}"
-                        ),
-                    ))
+        for violation in snapshot_mismatches(
+                record.name, record.version, bal_events, self._masks,
+                corrected_entities(self.workload)):
+            self.snapshot_mismatches += 1
+            self.violations.append(violation)
 
     # ------------------------------------------------------------------
     # Final report

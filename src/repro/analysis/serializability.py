@@ -17,7 +17,11 @@ version*.  Two executable checks cover this:
   ``<= v`` — no partial transactions, nothing newer, nothing missing.
 
 Both return structured :class:`Violation` records so tests can assert on
-counts and benchmarks can tabulate anomaly rates.
+counts and benchmarks can tabulate anomaly rates.  The per-read checks
+(:func:`fractured_read`, :func:`snapshot_mismatches`) and the committed
+mask index (:func:`fold_committed`, :func:`expected_mask`) are shared with
+the streaming :class:`~repro.analysis.rolling.RollingAuditor`, so the
+post-hoc and rolling audits are one implementation fed two ways.
 """
 
 from __future__ import annotations
@@ -69,11 +73,17 @@ def effectively_distinct(values: typing.Iterable) -> set:
     return {v for v in exact if not isinstance(v, float)} | set(clusters)
 
 
-def _reads_by_txn_and_key(history: History) -> typing.Dict[
-    str, typing.Dict[typing.Hashable, typing.List]
-]:
-    """Group detailed read events: txn -> key -> [events]."""
-    grouped: typing.Dict[str, typing.Dict[typing.Hashable, list]] = {}
+#: A read transaction's detailed read events, grouped by key.
+ReadsByKey = typing.Dict[typing.Hashable, typing.List]
+#: The Theorem 4.1 oracle's index: entity -> version -> OR of the amounts
+#: of that entity's committed recording transactions of that version.
+MaskIndex = typing.Dict[int, typing.Dict[typing.Optional[int], int]]
+
+
+def reads_by_txn_and_key(history: History) -> typing.Dict[str, ReadsByKey]:
+    """Group the read events of committed read transactions:
+    txn -> key -> [events]."""
+    grouped: typing.Dict[str, ReadsByKey] = {}
     for event in history.read_events:
         record = history.txns.get(event.txn)
         if record is None or record.aborted or record.kind != TxnKind.READ:
@@ -82,81 +92,140 @@ def _reads_by_txn_and_key(history: History) -> typing.Dict[
     return grouped
 
 
-def atomic_visibility_violations(history: History) -> typing.List[Violation]:
+def fractured_read(txn: str, key: typing.Hashable,
+                   events: typing.Sequence) -> typing.Optional[Violation]:
+    """The violation if one read transaction saw different values of
+    ``key`` on different nodes, else ``None``."""
+    values = {(event.node, event.value) for event in events}
+    if len(effectively_distinct(value for _node, value in values)) <= 1:
+        return None
+    return Violation(kind="fractured-read", txn=txn, key=key,
+                     details=f"per-node values {sorted(values)!r}")
+
+
+def fold_committed(masks: MaskIndex, entity: int,
+                   version: typing.Optional[int], amount: int) -> None:
+    """Add one committed recording transaction to a mask index."""
+    by_version = masks.setdefault(entity, {})
+    by_version[version] = by_version.get(version, 0) | amount
+
+
+def committed_masks(history: History, workload) -> MaskIndex:
+    """Index every committed recording transaction in one pass."""
+    masks: MaskIndex = {}
+    txns = history.txns
+    for name, (entity, amount) in workload.update_amounts.items():
+        record = txns.get(name)
+        if record is not None and not record.aborted:
+            fold_committed(masks, entity, record.version, amount)
+    return masks
+
+
+def expected_mask(masks: MaskIndex, entity: int,
+                  max_version: typing.Optional[int]) -> int:
+    """OR of the committed amounts on ``entity`` with version
+    ``<= max_version`` (every version when ``max_version`` is ``None``)."""
+    mask = 0
+    for version, bits in masks.get(entity, {}).items():
+        if max_version is not None and (
+            version is None or version > max_version
+        ):
+            continue
+        mask |= bits
+    return mask
+
+
+def snapshot_mismatches(txn: str, version: typing.Optional[int],
+                        by_key: ReadsByKey, masks: MaskIndex,
+                        corrected: typing.AbstractSet[int]
+                        ) -> typing.Iterator[Violation]:
+    """Theorem 4.1 for one read transaction: each balance it read must be
+    exactly the committed mask of versions ``<= version``."""
+    for key, events in by_key.items():
+        if not str(key).startswith("bal:"):
+            continue
+        # Replicated keys are slot-qualified ("bal:38#0"); the slot
+        # never changes which entity's committed mask applies.
+        entity = int(str(key).split(":", 1)[1].split("#", 1)[0])
+        if entity in corrected:
+            continue
+        expected = expected_mask(masks, entity, version)
+        for event in events:
+            observed = event.value if event.value is not None else 0
+            if observed != expected:
+                missing = expected & ~observed
+                extra = observed & ~expected
+                yield Violation(
+                    kind="snapshot-mismatch",
+                    txn=txn,
+                    key=key,
+                    details=(
+                        f"node {event.node}: version {version}, "
+                        f"missing mask {missing:#x}, "
+                        f"extra mask {extra:#x}"
+                    ),
+                )
+
+
+def corrected_entities(workload) -> typing.FrozenSet[int]:
+    """Entities a non-commuting correction overwrote wholesale (possibly
+    with a non-integer): their balances no longer decompose as bitmasks,
+    so the snapshot oracle conservatively skips them."""
+    return frozenset(getattr(workload, "correction_entities", {}).values())
+
+
+def atomic_visibility_violations(
+        history: History,
+        grouped: typing.Optional[typing.Dict[str, ReadsByKey]] = None,
+) -> typing.List[Violation]:
     """Fractured reads: one read transaction, one key, different values on
     different nodes.
 
     Requires the history to carry detailed read events (``detail=True``).
+    ``grouped`` is :func:`reads_by_txn_and_key` of ``history``, when the
+    caller already has it.
     """
+    if grouped is None:
+        grouped = reads_by_txn_and_key(history)
     violations = []
-    for txn, by_key in _reads_by_txn_and_key(history).items():
+    for txn, by_key in grouped.items():
         for key, events in by_key.items():
-            values = {(event.node, event.value) for event in events}
-            distinct = effectively_distinct(
-                value for _node, value in values)
-            if len(distinct) > 1:
-                violations.append(
-                    Violation(
-                        kind="fractured-read",
-                        txn=txn,
-                        key=key,
-                        details=f"per-node values {sorted(values)!r}",
-                    )
-                )
+            violation = fractured_read(txn, key, events)
+            if violation is not None:
+                violations.append(violation)
     return violations
 
 
-def snapshot_violations(history: History, workload) -> typing.List[Violation]:
+def snapshot_violations(
+        history: History, workload,
+        grouped: typing.Optional[typing.Dict[str, ReadsByKey]] = None,
+) -> typing.List[Violation]:
     """Theorem 4.1: reads see exactly the committed updates of versions
     ``<= V(read)``, atomically.
+
+    The committed updates are indexed once (:func:`committed_masks`), so
+    the check is one pass over the updates plus one over the reads.
 
     Args:
         history: A detailed history.
         workload: A :class:`~repro.workloads.recording.RecordingWorkload`
             run in ``"bitmask"`` mode (so balances decompose uniquely).
+        grouped: :func:`reads_by_txn_and_key` of ``history``, when the
+            caller already has it.
     """
-    violations = []
-    # A non-commuting correction overwrites a balance wholesale (possibly
-    # with a non-integer), so corrected entities no longer decompose as
-    # bitmasks; the oracle conservatively skips them.
-    corrected = frozenset(
-        getattr(workload, "correction_entities", {}).values()
-    )
-    for txn, by_key in _reads_by_txn_and_key(history).items():
-        record = history.txns[txn]
-        for key, events in by_key.items():
-            if not str(key).startswith("bal:"):
-                continue
-            # Replicated keys are slot-qualified ("bal:38#0"); the slot
-            # never changes which entity's committed mask applies.
-            entity = int(str(key).split(":", 1)[1].split("#", 1)[0])
-            if entity in corrected:
-                continue
-            expected = workload.committed_mask(
-                history, entity, max_version=record.version
-            )
-            for event in events:
-                observed = event.value if event.value is not None else 0
-                if observed != expected:
-                    missing = expected & ~observed
-                    extra = observed & ~expected
-                    violations.append(
-                        Violation(
-                            kind="snapshot-mismatch",
-                            txn=txn,
-                            key=key,
-                            details=(
-                                f"node {event.node}: version {record.version}, "
-                                f"missing mask {missing:#x}, "
-                                f"extra mask {extra:#x}"
-                            ),
-                        )
-                    )
+    if grouped is None:
+        grouped = reads_by_txn_and_key(history)
+    masks = committed_masks(history, workload)
+    corrected = corrected_entities(workload)
+    violations: typing.List[Violation] = []
+    for txn, by_key in grouped.items():
+        violations.extend(snapshot_mismatches(
+            txn, history.txns[txn].version, by_key, masks, corrected))
     return violations
 
 
 def reads_checked(history: History) -> int:
     """How many (read transaction, key) pairs the oracles examined."""
     return sum(
-        len(by_key) for by_key in _reads_by_txn_and_key(history).values()
+        len(by_key) for by_key in reads_by_txn_and_key(history).values()
     )

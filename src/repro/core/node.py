@@ -191,11 +191,11 @@ class ThreeVPlugin(ProtocolPlugin):
                 instance.txn.name, WaitReason.LOCK, node.sim.now - queued_at
             )
 
-    def local_service(self, node, instance: SubtxnInstance):
-        spec = instance.spec
+    def service_time(self, node, instance: SubtxnInstance):
+        # 3V draws on every subtransaction, ops or not.
         service = node.config.op_service.sample(node._service_rng)
-        if spec.ops:
-            yield node.sim.timeout(service * len(spec.ops))
+        ops = instance.spec.ops
+        return service * len(ops) if ops else None
 
     def execute_ops(self, node, instance: SubtxnInstance, kind: str) -> None:
         version = instance.version

@@ -12,6 +12,18 @@ local operations and child dispatch (no waiting for anything non-local:
 Theorem 4.2).  *Completion* bookkeeping is delegated to plugin hooks so 3V
 can implement both the hierarchical (Table 1) and the literal-step-6
 "immediate" counter timing.
+
+Neither the mailbox nor a subtransaction is a generator process.  The
+mailbox is a callback consumer of its :class:`~repro.sim.resources.Store`,
+and a subtransaction is a chain of continuations: start, executor grant,
+end of service.  Each continuation is scheduled in the slot where a
+process waiting on the same event would resume, so the same-tick order of
+protocol actions is the one a process-per-subtransaction runtime gives.
+A commuting 3V subtransaction suspends only for the executor and its
+service time (Theorem 4.2).  Where a plugin hook really waits (a
+takeover, an admission gate, commute locks, a replica's read gate) it
+returns a generator, and :class:`_Continuation` drives it from the
+current callback before the chain goes on.
 """
 
 from __future__ import annotations
@@ -74,42 +86,39 @@ class ProtocolNode:
         self._service_rng = self.rngs.stream("node.service")
 
         self._mailbox = self.network.register(node_id)
-        self._main = self.sim.process(self._run(), name=f"node-{node_id}")
+        receive = (self._receive_batch if self.network.batch_delivery
+                   else self._receive_one)
+        # Receiving starts in a scheduled slot of its own, as a process
+        # would: that slot fixes the node's place in same-tick order.
+        self.sim.schedule_now(self._mailbox.get_then, receive)
 
         self.plugin.init_node(self)
 
     # ------------------------------------------------------------------
-    # Main loop
+    # Mailbox consumer (one-shot getter, re-registered after each wake)
     # ------------------------------------------------------------------
 
-    def _run(self):
-        mailbox = self._mailbox
-        if not self.network.batch_delivery:
-            while True:
-                message = yield mailbox.get()
-                self._dispatch(message)
+    def _receive_one(self, message: Message) -> None:
+        self._dispatch(message)
+        self._mailbox.get_then(self._receive_one)
+
+    def _receive_batch(self, message: Message) -> None:
         # Batched delivery deposits a whole same-tick batch in one mailbox
         # wake; drain the backlog synchronously so the batch costs one
-        # event + one process resume instead of one per message.  Order is
-        # unchanged (take_nowait pops the same FIFO get() would) and a
-        # crash mid-drain stops it (take_nowait respects freeze).
-        take_nowait = mailbox.take_nowait
-        while True:
-            message = yield mailbox.get()
-            self._dispatch(message)
+        # event instead of one per message.  Order is unchanged
+        # (take_nowait pops the same FIFO get_then would) and a crash
+        # mid-drain stops it (take_nowait respects freeze).
+        dispatch = self._dispatch
+        take_nowait = self._mailbox.take_nowait
+        while message is not None:
+            dispatch(message)
             message = take_nowait()
-            while message is not None:
-                self._dispatch(message)
-                message = take_nowait()
+        self._mailbox.get_then(self._receive_batch)
 
     def _dispatch(self, message: Message) -> None:
         kind = message.kind
         if kind == MessageKind.SUBTXN_REQUEST or kind == MessageKind.COMPENSATION:
-            instance = message.payload
-            self.sim.process(
-                self.run_subtxn(instance),
-                name=f"{self.node_id}:{instance.sid}",
-            )
+            self.sim.schedule_now(self.run_subtxn, message.payload)
         elif kind == MessageKind.COMPLETION_NOTICE:
             self._on_completion_notice(message.payload)
         elif (kind == MessageKind.REFRESH_REQUEST
@@ -141,55 +150,84 @@ class ProtocolNode:
     # Subtransaction execution (Sections 4.1 / 4.2 mechanism)
     # ------------------------------------------------------------------
 
-    def run_subtxn(self, instance: SubtxnInstance):
-        plugin = self.plugin
-
-        # --- Recovery-readability (before any protocol policy, so the
-        # gate also covers transactions a plugin diverts via takeover):
-        # a read at a recovered-but-unrefreshed replica waits for the
-        # refresh to complete rather than observing stale state. --------
+    def run_subtxn(self, instance: SubtxnInstance) -> None:
+        """Start a delivered subtransaction's lifecycle."""
+        # Recovery-readability (before any protocol policy, so the gate
+        # also covers transactions a plugin diverts via takeover): a read
+        # at a recovered-but-unrefreshed replica waits for the refresh to
+        # complete rather than observing stale state.
         placement = self.system.placement
         if placement is not None and instance.txn.is_read_only:
-            while True:
-                gate = placement.read_gate(self.node_id)
-                if gate is None:
-                    break
-                yield gate
+            gate = placement.read_gate(self.node_id)
+            if gate is not None:
+                _Continuation(self._await_read_gate(gate), self._arrive,
+                              instance)
+                return
             placement.note_read_served(self.node_id)
+        self._arrive(instance)
 
+    def _await_read_gate(self, gate):
+        placement = self.system.placement
+        while gate is not None:
+            yield gate
+            gate = placement.read_gate(self.node_id)
+        placement.note_read_served(self.node_id)
+
+    def _arrive(self, instance: SubtxnInstance) -> None:
+        plugin = self.plugin
         kind = plugin.classify(instance)
 
         # A plugin may divert this transaction class into its own
         # lifecycle (NC3V's and 2PC's two-phase-commit engine).
         takeover = plugin.takeover(self, instance, kind)
         if takeover is not None:
-            yield from takeover
+            _Continuation(takeover, None)
             return
 
         # --- Arrival: version assignment and request accounting -------
         if instance.is_root:
             gate = plugin.admit_root(self, instance, kind)
             if gate is not None:
-                yield from gate
+                _Continuation(gate, self._prepare, instance, kind)
+                return
         else:
             plugin.on_descendant(self, instance, kind)
+        self._prepare(instance, kind)
 
+    def _prepare(self, instance: SubtxnInstance, kind: str) -> None:
         tracker = CompletionTracker(instance)
         self._trackers[instance.instance_key] = tracker
 
         # --- Protocol work before the executor (e.g. commute locks) ----
-        pre = plugin.pre_execute(self, instance, kind)
+        pre = self.plugin.pre_execute(self, instance, kind)
         if pre is not None:
-            yield from pre
+            _Continuation(pre, self._request_executor, instance, kind,
+                          tracker)
+            return
+        self._request_executor(instance, kind, tracker)
 
+    def _request_executor(self, instance: SubtxnInstance, kind: str,
+                          tracker: CompletionTracker) -> None:
         # --- Local concurrency control ---------------------------------
-        queued_at = self.sim.now
-        yield self.executor.request()
+        self.executor.request_then(self._granted, instance, kind, tracker,
+                                   self.sim.now)
+
+    def _granted(self, instance: SubtxnInstance, kind: str,
+                 tracker: CompletionTracker, queued_at: float) -> None:
         self.history.waited(
             instance.txn.name, WaitReason.EXECUTOR, self.sim.now - queued_at
         )
+        service = self.plugin.service_time(self, instance)
+        if service is None:
+            self._serve(instance, kind, tracker)
+        else:
+            self.sim.schedule(service, self._serve, instance, kind, tracker)
+
+    def _serve(self, instance: SubtxnInstance, kind: str,
+               tracker: CompletionTracker) -> None:
+        """End of service: run the ops, then commit and dispatch locally."""
+        plugin = self.plugin
         try:
-            yield from plugin.local_service(self, instance)
             tombstoned = self._apply_ops(instance, kind)
         finally:
             self.executor.release()
@@ -373,3 +411,44 @@ class ProtocolNode:
     @property
     def active_subtxns(self) -> int:
         return len(self._trackers)
+
+
+class _Continuation:
+    """Drives a plugin's generator from the current callback, then goes on.
+
+    The generator runs at once up to its first wait.  Each event it yields
+    resumes it through ``Event.add_callback``, in the slot where the event
+    would have resumed a process, and when it returns ``then(*args)`` runs
+    synchronously.  Unlike a :class:`~repro.sim.process.Process` it
+    schedules no start or completion event of its own, so a gated hook
+    adds no bookkeeping events to the lifecycle that calls it.
+    """
+
+    __slots__ = ("_generator", "_then", "_args")
+
+    def __init__(self, generator, then, *args):
+        self._generator = generator
+        self._then = then
+        self._args = args
+        self._step(None, None)
+
+    def _step(self, value, exception) -> None:
+        try:
+            if exception is None:
+                target = self._generator.send(value)
+            else:
+                target = self._generator.throw(exception)
+        except StopIteration:
+            pass
+        else:
+            target.add_callback(self._wake)
+            return
+        if self._then is not None:
+            self._then(*self._args)
+
+    def _wake(self, event) -> None:
+        exception = event.exception
+        if exception is None:
+            self._step(event.value, None)
+        else:
+            self._step(None, exception)

@@ -11,14 +11,17 @@ Hook contract (see ``docs/PROTOCOL.md`` for the full walk-through):
 
 * Hooks named ``admit_root`` / ``pre_execute`` / ``admission_gate`` may
   need to wait on simulation events.  They return ``None`` for the common
-  synchronous case or a *generator* the node drives with ``yield from`` —
-  returning ``None`` keeps the per-subtransaction hot path free of
-  generator churn.
+  synchronous case or a *generator* that yields the events it waits on;
+  the node drives it from the current callback and continues the
+  lifecycle when it returns.  Returning ``None`` keeps the
+  per-subtransaction hot path free of generators.
 * ``takeover`` lets a plugin replace the runtime's whole subtransaction
   lifecycle for some transaction class (NC3V and 2PC divert into the
-  shared :mod:`repro.runtime.twophase` engine this way).
-* ``local_service`` is always a generator; it models local service time
-  and owns the protocol's service-RNG draw discipline.
+  shared :mod:`repro.runtime.twophase` engine this way); it too returns a
+  generator or ``None``.
+* ``service_time`` returns the local service time of a subtransaction
+  (``None`` for none at all) and owns the protocol's service-RNG draw
+  discipline.
 * Everything else is a plain synchronous callback.
 
 Plugins hold no per-node mutable state of their own; node-local protocol
@@ -148,13 +151,15 @@ class ProtocolPlugin:
         locks), or ``None``."""
         return None
 
-    def local_service(self, node, instance: SubtxnInstance):
-        """Model local service time (generator; owns the service-RNG draw
-        discipline — baselines draw only when the subtransaction has ops)."""
-        spec = instance.spec
-        if spec.ops:
-            service = node.rngs.sample("node.service", node.config.op_service)
-            yield node.sim.timeout(service * len(spec.ops))
+    def service_time(self, node, instance: SubtxnInstance):
+        """Local service time of the subtransaction, or ``None`` when it
+        takes none.  Owns the service-RNG draw discipline: baselines draw
+        only when the subtransaction has ops."""
+        ops = instance.spec.ops
+        if not ops:
+            return None
+        service = node.rngs.sample("node.service", node.config.op_service)
+        return service * len(ops)
 
     def execute_ops(self, node, instance: SubtxnInstance, kind: str) -> None:
         """Run the instance's local read/write operations."""

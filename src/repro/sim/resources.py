@@ -6,6 +6,15 @@ Two primitives cover everything the library needs:
   node's local executor (capacity = multiprogramming level).
 * :class:`Store` — an unbounded FIFO queue of items with blocking ``get``,
   used as a process mailbox for network message delivery.
+
+Each offers two ways to wait.  A process yields the event that
+:meth:`Resource.request` / :meth:`Store.get` returns; a callback consumer
+passes a continuation to :meth:`Resource.request_then` /
+:meth:`Store.get_then` instead.  Both kinds share one FIFO queue, and a
+continuation runs in exactly the scheduling slot where the event would
+have resumed a waiting process — it just skips the event, and with it the
+extra bookkeeping entry a process pays for an event that has already
+triggered.
 """
 
 from __future__ import annotations
@@ -69,17 +78,34 @@ class Resource:
             event.succeed()
         else:
             self.total_waits += 1
-            self._queue.append((event, self.sim.now))
+            self._queue.append((event, None, self.sim.now))
         return event
+
+    def request_then(self, callback, *args) -> None:
+        """Ask for one unit of capacity; run ``callback(*args)`` once granted.
+
+        The callback form of :meth:`request`: the grant is scheduled in the
+        slot where a process waiting on the request event would resume.
+        The callback must eventually call :meth:`release`.
+        """
+        if self._in_use < self.capacity and not self._queue:
+            self._in_use += 1
+            self.sim.schedule_now(callback, *args)
+        else:
+            self.total_waits += 1
+            self._queue.append((callback, args, self.sim.now))
 
     def release(self) -> None:
         """Return one unit of capacity, waking the longest waiter if any."""
         if self._in_use <= 0:
             raise SimulationError("release() without a matching request()")
         if self._queue:
-            event, enqueued_at = self._queue.popleft()
+            waiter, args, enqueued_at = self._queue.popleft()
             self.total_wait_time += self.sim.now - enqueued_at
-            event.succeed()
+            if args is None:
+                waiter.succeed()
+            else:
+                self.sim.schedule_now(waiter, *args)
         else:
             self._in_use -= 1
 
@@ -118,15 +144,21 @@ class Store:
         """Resume delivery, re-pairing queued items with waiting getters."""
         self._frozen = False
         while self._items and self._getters:
-            self._getters.popleft().succeed(self._items.popleft())
+            self._hand(self._getters.popleft(), self._items.popleft())
 
     def put(self, item) -> None:
         """Deposit an item; wakes the oldest waiting getter if any."""
         self.total_puts += 1
         if self._getters and not self._frozen:
-            self._getters.popleft().succeed(item)
+            self._hand(self._getters.popleft(), item)
         else:
             self._items.append(item)
+
+    def _hand(self, getter, item) -> None:
+        if isinstance(getter, Event):
+            getter.succeed(item)
+        else:
+            self.sim.schedule_now(getter, item)
 
     def get(self) -> Event:
         """Take the oldest item, waiting if the store is empty.
@@ -141,8 +173,23 @@ class Store:
             self._getters.append(event)
         return event
 
+    def get_then(self, callback) -> None:
+        """Take the oldest item and run ``callback(item)``, waiting if empty.
+
+        The callback form of :meth:`get` (a mailbox consumer that is not a
+        process): the callback is scheduled in the slot where a process
+        waiting on the get event would resume.  It is a one-shot getter,
+        so a consumer re-registers after each wake; freezing, thawing and
+        :meth:`abandon_getters` treat it exactly like a getter event.
+        """
+        if self._items and not self._frozen:
+            self.sim.schedule_now(callback, self._items.popleft())
+        else:
+            self._getters.append(callback)
+
     def abandon_getters(self) -> None:
-        """Discard every waiting getter (their events never trigger).
+        """Discard every waiting getter (events never trigger, callbacks
+        never run).
 
         The teardown primitive for killing a consumer process: a killed
         process's pending getter would otherwise stay queued and swallow

@@ -408,7 +408,12 @@ class RecordingWorkload:
     def committed_mask(self, history, entity: int,
                        max_version: typing.Optional[int] = None) -> int:
         """Bitmask of committed recording transactions on ``entity``
-        (optionally only those with version <= ``max_version``)."""
+        (optionally only those with version <= ``max_version``).
+
+        A full scan of the recorded updates per call: the reference the
+        indexed snapshot oracle
+        (:func:`repro.analysis.serializability.committed_masks`) is
+        differential-tested against, not a production path."""
         mask = 0
         for name, (ent, amount) in self.update_amounts.items():
             if ent != entity:
