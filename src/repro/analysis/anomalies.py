@@ -14,6 +14,7 @@ from repro.analysis.serializability import (
     Violation,
     atomic_visibility_violations,
     reads_by_txn_and_key,
+    reads_checked,
     snapshot_violations,
 )
 from repro.txn.history import History, TxnKind
@@ -62,7 +63,7 @@ def audit(history: History, workload=None,
     if check_snapshots:
         snapshot = snapshot_violations(history, workload, grouped)
     return AnomalyReport(
-        reads_checked=sum(len(by_key) for by_key in grouped.values()),
+        reads_checked=reads_checked(history, grouped),
         fractured_reads=len(fractured),
         snapshot_mismatches=len(snapshot),
         aborted_txns=history.aborted_count(),

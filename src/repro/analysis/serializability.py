@@ -224,8 +224,11 @@ def snapshot_violations(
     return violations
 
 
-def reads_checked(history: History) -> int:
+def reads_checked(
+        history: History,
+        grouped: typing.Optional[typing.Dict[str, ReadsByKey]] = None,
+) -> int:
     """How many (read transaction, key) pairs the oracles examined."""
-    return sum(
-        len(by_key) for by_key in reads_by_txn_and_key(history).values()
-    )
+    if grouped is None:
+        grouped = reads_by_txn_and_key(history)
+    return sum(len(by_key) for by_key in grouped.values())
