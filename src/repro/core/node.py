@@ -3,7 +3,7 @@
 Each node owns a multi-version store, a request/completion counter table,
 its current update version ``vu`` and read version ``vr``, and a local
 executor modelling local concurrency control.  The generic node mechanism
-(mailbox loop, executor, completion notices, compensation routing) lives
+(mailbox consumer, executor, completion notices, compensation routing) lives
 in :mod:`repro.runtime`; this module supplies the 3V policy:
 
 * root subtransactions — assigned ``V(T) = vu`` (updates) or ``V(T) = vr``

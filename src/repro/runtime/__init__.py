@@ -6,7 +6,7 @@ Section-1 baselines alike — is one :class:`System` running one
 :class:`ProtocolPlugin`.  The runtime owns the *mechanism* every protocol
 shares:
 
-* the per-node mailbox loop and message dispatch table;
+* the per-node mailbox consumer and message dispatch table;
 * the local executor (:class:`~repro.sim.resources.Resource`);
 * :class:`~repro.txn.runtime.CompletionTracker` wiring and hierarchical
   completion notices;

@@ -1,6 +1,6 @@
 """`ProtocolNode` — the one database node every protocol runs on.
 
-The node owns the mechanism every protocol shares: the mailbox loop, the
+The node owns the mechanism every protocol shares: the mailbox consumer, the
 local executor, completion trackers and hierarchical completion notices,
 and compensation routing (Section 3.2's tree-edge propagation, including
 the tombstone rule for compensation that overtakes its target).  All
