@@ -22,15 +22,20 @@ expanded to every version they touched (recorded in
 For a fractured read the graph shows a crisp witness: the reader
 observed key copies *before* an update on one node and *after* it on
 another, producing the two-cycle ``reader -> updater -> reader``.
+
+networkx is imported inside the functions that build or search the
+graph, so importing ``repro`` (and every simulated run and audit) stays
+stdlib-only.
 """
 
 from __future__ import annotations
 
 import typing
 
-import networkx
-
 from repro.txn.history import History
+
+if typing.TYPE_CHECKING:
+    import networkx
 
 
 class ConflictEdge(typing.NamedTuple):
@@ -78,12 +83,14 @@ def _conflicts(kind_a: str, op_a, kind_b: str, op_b) -> bool:
     return True
 
 
-def build_serialization_graph(history: History) -> networkx.DiGraph:
+def build_serialization_graph(history: History) -> "networkx.DiGraph":
     """Construct the commutativity-aware serialization graph.
 
     Edge data: ``witnesses`` — a list of :class:`ConflictEdge` explaining
     each edge (capped at 5 per edge to bound memory).
     """
+    import networkx
+
     graph = networkx.DiGraph()
     graph.add_nodes_from(_committed(history))
     per_copy: typing.Dict[tuple, list] = {}
@@ -120,6 +127,8 @@ def serialization_cycles(
     An empty list certifies commutativity-aware conflict serializability
     of the history.
     """
+    import networkx
+
     graph = build_serialization_graph(history)
     cycles = []
     for cycle in networkx.simple_cycles(graph):
@@ -131,6 +140,8 @@ def serialization_cycles(
 
 def is_conflict_serializable(history: History) -> bool:
     """Convenience wrapper: ``True`` iff the graph is acyclic."""
+    import networkx
+
     return networkx.is_directed_acyclic_graph(
         build_serialization_graph(history)
     )
@@ -142,4 +153,6 @@ def equivalent_serial_order(history: History) -> typing.List[str]:
     Raises:
         networkx.NetworkXUnfeasible: If the history is not serializable.
     """
+    import networkx
+
     return list(networkx.topological_sort(build_serialization_graph(history)))

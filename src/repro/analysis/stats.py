@@ -5,6 +5,9 @@ workload distribution; benchmark conclusions ("3V's goodput is flat in
 cluster size") should rest on several seeds.  This module provides the
 two tools the harness needs: mean with a Student-t confidence interval,
 and Welch's t-test for "is A really faster than B".
+
+scipy is imported inside the two functions that use it, so importing
+``repro`` (and every simulated run and audit) stays stdlib-only.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import typing
-
-from scipy import stats as scipy_stats
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,6 +49,8 @@ def mean_ci(values: typing.Sequence[float],
     mean = sum(values) / n
     if n == 1:
         return ConfidenceInterval(mean, mean, mean, 1, confidence)
+    from scipy import stats as scipy_stats
+
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
     sem = math.sqrt(variance / n)
     t = scipy_stats.t.ppf((1 + confidence) / 2, df=n - 1)
@@ -68,6 +71,8 @@ def welch_p_value(a: typing.Sequence[float],
         raise ValueError("welch_p_value needs >= 2 observations per side")
     if max(a) == min(a) and max(b) == min(b):
         return 1.0 if a[0] == b[0] else 0.0
+    from scipy import stats as scipy_stats
+
     _stat, p_value = scipy_stats.ttest_ind(a, b, equal_var=False)
     return float(p_value)
 

@@ -236,3 +236,45 @@ def test_kernel_shims_and_package_root_may_import_accel(tmp_path):
     })
     result = run_checker("--src", str(tmp_path))
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_detects_module_level_numeric_import(tmp_path):
+    # Rule 7: scipy/numpy/networkx never load at 'import repro' time,
+    # including from a guarded block that still runs at module level.
+    seed_tree(str(tmp_path), {
+        "repro/__init__.py": "",
+        "repro/analysis/__init__.py": "",
+        "repro/analysis/stats.py": "from scipy import stats\n",
+        "repro/analysis/graph.py": (
+            "try:\n    import networkx\nexcept ImportError:\n"
+            "    networkx = None\n"
+        ),
+        "repro/analysis/arrays.py": "class Table:\n    import numpy.linalg\n",
+    })
+    result = run_checker("--src", str(tmp_path))
+    assert result.returncode == 1
+    flagged = [line for line in result.stdout.splitlines()
+               if "at module level" in line]
+    assert len(flagged) == 3, result.stdout
+    assert all(any(name in line for line in flagged)
+               for name in ("'scipy'", "'networkx'", "'numpy.linalg'"))
+
+
+def test_function_local_numeric_import_is_allowed(tmp_path):
+    seed_tree(str(tmp_path), {
+        "repro/__init__.py": "",
+        "repro/analysis/__init__.py": "",
+        "repro/analysis/stats.py": (
+            "import typing\n"
+            "if typing.TYPE_CHECKING:\n    import networkx\n"
+            "def mean_ci(values):\n"
+            "    from scipy import stats\n"
+            "    return stats.t.ppf(0.975, df=len(values) - 1)\n"
+            "class Graph:\n"
+            "    def build(self) -> 'networkx.DiGraph':\n"
+            "        import networkx\n"
+            "        return networkx.DiGraph()\n"
+        ),
+    })
+    result = run_checker("--src", str(tmp_path))
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -52,6 +52,13 @@ guarantees, and this script keeps them true by construction:
    builds stay interchangeable.  Introspection goes through the
    ``repro``-root re-exports.
 
+7. **The numeric stack loads on demand.**  No module under ``repro/``
+   may import ``scipy``, ``numpy`` or ``networkx`` at module level: only
+   a function body (or an ``if TYPE_CHECKING:`` block, which never runs)
+   may.  ``import repro``, the CLI, fleet workers and every simulated
+   run and audit then stay stdlib-only; only ``mean_ci``/``welch_p_value``
+   and the conflict-graph oracle pull the packages in, at the call.
+
 The check is AST-based (``import x`` / ``from x import y``, including
 relative imports), so string mentions in docstrings or comments are
 ignored.  Exit status 0 = clean, 1 = violations (listed one per line).
@@ -120,6 +127,9 @@ ACCEL_IMPORTERS = (
     "repro.storage.mvstore",
 )
 
+#: Third-party packages importable only inside a function body.
+DEFERRED_ONLY = ("scipy", "numpy", "networkx")
+
 #: Layers the runtime package must never import.
 ABOVE_RUNTIME = (
     "repro.core",
@@ -143,12 +153,16 @@ def module_name(path: str, src_root: str) -> str:
     return ".".join(parts)
 
 
+def parse(path: str) -> ast.Module:
+    with open(path, "r", encoding="utf-8") as handle:
+        return ast.parse(handle.read(), filename=path)
+
+
 def imported_modules(
     path: str, src_root: str
 ) -> typing.List[typing.Tuple[int, str]]:
     """Every absolute module name imported by ``path`` (with line numbers)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        tree = ast.parse(handle.read(), filename=path)
+    tree = parse(path)
     current = module_name(path, src_root)
     package = current if path.endswith("__init__.py") else current.rsplit(".", 1)[0]
     found = []
@@ -166,6 +180,36 @@ def imported_modules(
                 target = node.module or ""
             found.append((node.lineno, target))
     return found
+
+
+def is_type_checking(test: ast.expr) -> bool:
+    """``TYPE_CHECKING`` or ``typing.TYPE_CHECKING``."""
+    if isinstance(test, ast.Attribute):
+        return test.attr == "TYPE_CHECKING"
+    return isinstance(test, ast.Name) and test.id == "TYPE_CHECKING"
+
+
+def eager_imports(path: str) -> typing.List[typing.Tuple[int, str]]:
+    """Absolute imports that run when ``path`` is imported.
+
+    Function bodies and ``if TYPE_CHECKING:`` bodies are skipped; class
+    bodies and every other module-level block run at import time.
+    """
+    found = []
+    pending: typing.List[ast.AST] = [parse(path)]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append((node.lineno, node.module or ""))
+        if isinstance(node, ast.If) and is_type_checking(node.test):
+            pending.extend(node.orelse)
+        else:
+            pending.extend(ast.iter_child_nodes(node))
+    return sorted(found)
 
 
 def hits(imported: str, prefixes: typing.Sequence[str]) -> bool:
@@ -192,6 +236,15 @@ def check(src_root: str) -> typing.List[str]:
             module = module_name(path, src_root)
             display = os.path.relpath(path, REPO_ROOT)
             group = in_group(module)
+            for lineno, imported in eager_imports(path):
+                if hits(imported, DEFERRED_ONLY):
+                    violations.append(
+                        f"{display}:{lineno}: {module} imports "
+                        f"{imported!r} at module level (the numeric stack "
+                        f"loads on demand: import it inside the function "
+                        f"that uses it, so 'import repro' stays "
+                        f"stdlib-only)"
+                    )
             for lineno, imported in imported_modules(path, src_root):
                 if hits(module, ("repro.runtime",)) and hits(imported, ABOVE_RUNTIME):
                     violations.append(
