@@ -21,8 +21,8 @@ import time
 import typing
 
 from repro._accel import (
+    KERNEL_MODULES,
     AccelUnavailableError,
-    accel_backend,
     load_accel,
     pure_namespace,
 )
@@ -30,15 +30,12 @@ from repro.storage.values import Increment
 
 import bench_hotpath
 
-#: Canonical modules the accel cells need; all must be compiled.
-REQUIRED = ("repro.sim.simulator", "repro.storage.counters",
-            "repro.storage.mvstore")
 
 
 def available() -> bool:
     """Whether every compiled twin the accel cells measure is importable."""
     try:
-        for canonical in REQUIRED:
+        for canonical in KERNEL_MODULES:
             load_accel(canonical)
     except AccelUnavailableError:
         return False
@@ -141,7 +138,7 @@ def run_accel_suite(mode: str = "full"
     _measure("kernel_process_events", lambda cls: process_storm(items, cls),
              pure_sim, accel_sim, repeat, metrics,
              rate_of=lambda result: result)
-    return {"backend": accel_backend(), "metrics": metrics}
+    return {"backend": "ckernel", "metrics": metrics}
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ See ``README.md`` for the full tour and ``DESIGN.md`` for the system map.
 
 from repro._accel import (
     accel_backend,
-    accel_status,
     accelerated_modules,
     build_mode,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "UniformLatency",
     "WriteOp",
     "accel_backend",
-    "accel_status",
     "accelerated_modules",
     "audit",
     "build_mode",

@@ -1,13 +1,14 @@
-"""Accelerated-build loader — optional compiled kernels, pure as reference.
+"""Accelerated-build loader — optional compiled kernel, pure as reference.
 
-The eight hot kernel modules (``repro.sim.{events,process,simulator}``,
-``repro.net.{message,network}``, ``repro.storage.{values,counters,mvstore}``)
-each end with a call to :func:`install`.  When an accelerated build is
-present, :func:`install` swaps the module's public names for their compiled
-twins; otherwise the pure-Python definitions stand untouched.  The swap
-happens *before* any other module imports those names, so every consumer —
-runtime, protocols, experiments — binds whichever implementation the build
-selected, without ever importing this package directly (enforced by
+The three kernel modules with a hand-written C twin
+(:data:`KERNEL_MODULES`: ``repro.sim.simulator``,
+``repro.storage.counters``, ``repro.storage.mvstore``) each end with a call
+to :func:`install`.  When an accelerated build is present, :func:`install`
+swaps the module's public names for their compiled twins; otherwise the
+pure-Python definitions stand untouched.  The swap happens *before* any
+other module imports those names, so every consumer — runtime, protocols,
+experiments — binds whichever implementation the build selected, without
+ever importing this package directly (enforced by
 ``tools/check_layering.py`` rule 6).
 
 Build selection is controlled by the ``REPRO_ACCEL`` environment variable:
@@ -20,11 +21,10 @@ Build selection is controlled by the ``REPRO_ACCEL`` environment variable:
 A build (``tools/build_accel.py``) drops compiled extension modules next to
 this file — named after the canonical module with dots flattened, e.g.
 ``repro._accel.storage_counters`` — plus ``_manifest.json`` recording the
-backend and the module list.  Two backends exist: ``mypyc`` (compiles the
-pure sources themselves) and ``ckernel`` (hand-written C for the three
-hottest modules).  Both must be bit-for-bit equivalent to pure Python; the
-differential oracles (scheduler equivalence, aggregate-vs-scan quiescence,
-chaos digests, ``tools/bench.py --check``) are the proof.
+backend (``ckernel``, the only one) and the module list.  The twins must be
+bit-for-bit equivalent to pure Python; the differential oracles (scheduler
+equivalence, aggregate-vs-scan quiescence, chaos digests,
+``tools/bench.py --check``) are the proof.
 
 The pure definitions are never lost: :func:`install` snapshots each kernel
 module's namespace *before* swapping, and :func:`pure_namespace` hands the
@@ -45,23 +45,18 @@ __all__ = [
     "AccelUnavailableError",
     "accel_backend",
     "accel_module_name",
-    "accel_status",
     "accelerated_modules",
     "build_mode",
     "install",
     "load_accel",
-    "mypyc_attr",
     "pure_namespace",
 ]
 
-#: Canonical names of the compilable kernel modules, in import order.
+#: Canonical names of the kernel modules with a C twin — the one list of
+#: them; the build tool, the accel benchmarks and the layering lint derive
+#: theirs from it.  The C source of each is ``_csrc/<last component>.c``.
 KERNEL_MODULES: typing.Tuple[str, ...] = (
-    "repro.sim.events",
-    "repro.sim.process",
     "repro.sim.simulator",
-    "repro.net.message",
-    "repro.net.network",
-    "repro.storage.values",
     "repro.storage.counters",
     "repro.storage.mvstore",
 )
@@ -134,8 +129,7 @@ def install(namespace: typing.Dict[str, typing.Any]) -> None:
             )
         return
     if name not in manifest.get("modules", ()):
-        # Not part of this build (e.g. the ckernel backend compiles only
-        # the three hottest modules) — pure is the intended implementation.
+        # Not part of this build — pure is the intended implementation.
         return
     try:
         module = importlib.import_module(accel_module_name(name))
@@ -167,9 +161,11 @@ def build_mode() -> str:
 
 
 def accel_backend() -> typing.Optional[str]:
-    """The built backend name (``mypyc``/``ckernel``) or ``None``."""
-    manifest = _load_manifest()
-    return manifest.get("backend") if manifest else None
+    """The backend of the running compiled kernel (``ckernel``), or ``None``
+    when every kernel module runs pure — even with a build on disk."""
+    if build_mode() != "accel":
+        return None
+    return _load_manifest().get("backend")
 
 
 def accelerated_modules() -> typing.Tuple[str, ...]:
@@ -177,29 +173,12 @@ def accelerated_modules() -> typing.Tuple[str, ...]:
     return tuple(n for n in KERNEL_MODULES if _status.get(n) == "accel")
 
 
-def accel_status() -> typing.Dict[str, str]:
-    """Per-module selection outcome for every imported kernel module."""
-    return dict(_status)
-
-
 def pure_namespace(canonical: str) -> typing.Dict[str, typing.Any]:
     """The pure-Python namespace snapshot of a kernel module.
 
     Importing the canonical module on demand guarantees the snapshot
-    exists (the module's own install hook takes it before any swap).
-
-    .. caution:: The snapshot is pure at the *module* boundary only.  It
-       is taken at the end of the module body, after the module resolved
-       its own imports — and under a build that compiles several kernel
-       modules, an upstream kernel import may already have been swapped.
-       Example: under the full mypyc build, the "pure" ``Process`` binds
-       the compiled ``Event`` as its base class, so a differential suite
-       driving this snapshot partially exercises compiled code.  For a
-       fully pure reference arm, run the pure leg in a subprocess with
-       ``REPRO_ACCEL=0`` (as ``tools/bench.py --check`` and the
-       dual-build digest tests do); in-process snapshot comparisons are
-       exact under the ckernel backend, whose three compiled modules
-       import only kernel modules that stay pure.
+    exists (the module's own install hook takes it before any swap).  The
+    snapshot is exact: no kernel module imports another swappable one.
     """
     if canonical not in _pure:
         importlib.import_module(canonical)
@@ -220,12 +199,3 @@ def load_accel(canonical: str):
             f"no compiled build of {canonical}: {exc}"
         ) from exc
 
-
-try:  # pragma: no cover - exercised only when mypy_extensions is present
-    from mypy_extensions import mypyc_attr
-except ImportError:  # pragma: no cover
-    def mypyc_attr(**_kwargs):  # type: ignore[misc]
-        """No-op stand-in when ``mypy_extensions`` is not installed."""
-        def decorate(cls):
-            return cls
-        return decorate

@@ -271,8 +271,7 @@ def aggregate_quiescent(
             == sum(completion_totals.values()))
 
 
-# --- accelerated-build hook (stripped from compiled mirrors) ----------
+# Swap in the compiled C twin when one is built (see repro._accel).
 from repro._accel import install as _accel_install  # noqa: E402
 
 _accel_install(globals())
-# --- end accelerated-build hook ---------------------------------------

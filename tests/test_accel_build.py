@@ -116,13 +116,13 @@ class TestLoaderSemantics:
         assert result.returncode == 0, result.stderr
         mode, modules, backend = json.loads(result.stdout)
         assert mode == "accel"
-        assert backend in ("ckernel", "mypyc")
+        assert backend == "ckernel"
         for canonical in COMPILED:
             assert canonical in modules
 
     def test_require_mode_without_build_raises(self, monkeypatch):
         """REPRO_ACCEL=1 with no manifest must fail loudly, not fall back."""
-        name = "repro.storage.values"
+        name = "repro.storage.counters"
         importlib.import_module(name)
         # install() will overwrite the loader's bookkeeping for this
         # module; pin the real entries so the rest of the suite is
@@ -139,7 +139,7 @@ class TestLoaderSemantics:
     def test_module_absent_from_manifest_stays_pure(self, monkeypatch):
         """A backend that compiles only some modules leaves the rest pure
         silently — even under REPRO_ACCEL=1 (pure IS the built artifact)."""
-        name = "repro.storage.values"
+        name = "repro.storage.counters"
         importlib.import_module(name)
         monkeypatch.setitem(accel_loader._pure, name,
                             accel_loader._pure[name])
@@ -154,24 +154,17 @@ class TestLoaderSemantics:
         install(namespace)
         assert namespace["marker"] is sentinel
 
-    @needs_accel
-    def test_interpreted_subclass_of_swapped_event_is_legal(self):
-        """The pure body of sim/process.py always executes and subclasses
-        whatever Event the (possibly swapped) events namespace exports —
-        so under any build, interpreted ``class X(Event)`` must work.
-        Under the mypyc backend this exercises the
-        ``allow_interpreted_subclasses`` escape hatch on the compiled
-        Event; a build without it makes every ``import repro`` die here."""
-        result = run_py(
-            "import repro.sim.process\n"
-            "from repro.sim.events import Event\n"
-            "class Probe(Event):\n"
-            "    __slots__ = ()\n"
-            "print('subclassed')\n",
-            REPRO_ACCEL="1",
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "subclassed"
+    def test_backend_is_none_when_every_module_runs_pure(self, monkeypatch):
+        """A manifest on disk names its backend, but with every kernel
+        module pure (``REPRO_ACCEL=0``) no backend is running."""
+        monkeypatch.setattr(accel_loader, "_manifest_cache",
+                            {"backend": "ckernel",
+                             "modules": list(KERNEL_MODULES)})
+        monkeypatch.setattr(accel_loader, "_status",
+                            dict.fromkeys(KERNEL_MODULES, "pure"))
+        assert repro.accel_backend() is None
+        accel_loader._status["repro.sim.simulator"] = "accel"
+        assert repro.accel_backend() == "ckernel"
 
     def test_pure_namespace_survives_the_swap(self):
         """The snapshot hands back genuine pure-Python classes even when
@@ -184,7 +177,7 @@ class TestLoaderSemantics:
         sim.run()
         assert fired == ["x"] and sim.now == 1.0
         # A genuinely pure method has Python bytecode behind it; the
-        # compiled twins (C or mypyc-native) do not.
+        # compiled C twins do not.
         assert hasattr(simulator.schedule, "__code__")
 
 
@@ -195,8 +188,6 @@ class TestImportSurface:
 
     @pytest.mark.parametrize("canonical", KERNEL_MODULES)
     def test_twin_exposes_every_public_name(self, canonical):
-        if canonical not in COMPILED:
-            pytest.skip(f"{canonical} not part of this build")
         twin = load_accel(canonical)
         public = importlib.import_module(canonical).__all__
         missing = [name for name in public if not hasattr(twin, name)]
@@ -347,7 +338,7 @@ class TestBenchBuildGate:
     def test_accel_section_skips_on_backend_change(self):
         committed = {"backend": "ckernel",
                      "metrics": {"accel_counter_incs_speedup": 8.0}}
-        measured = {"backend": "mypyc",
+        measured = {"backend": "other",
                     "metrics": {"accel_counter_incs_speedup": 2.0}}
         assert bench_cli.check(self.baseline("pure", accel=committed),
                                self.fresh("pure", accel=measured),
@@ -389,11 +380,10 @@ class TestBuildSwapVerification:
         # Redirect every artifact path into tmp so the real clean() runs
         # without touching the checkout's actual build.
         monkeypatch.setattr(build_cli, "ACCEL_DIR", str(accel_dir))
-        monkeypatch.setattr(build_cli, "MYC_DIR", str(accel_dir / "_myc"))
         monkeypatch.setattr(build_cli, "MANIFEST", str(manifest))
         monkeypatch.setattr(build_cli, "have_c_toolchain", lambda: True)
         monkeypatch.setattr(build_cli, "build_ckernel",
-                            lambda: sorted(build_cli.CKERNEL_SOURCES))
+                            lambda: sorted(build_cli.KERNEL_MODULES))
         monkeypatch.setattr(build_cli, "verify_import", lambda canonical: True)
         manifest_active = []
 
@@ -402,7 +392,7 @@ class TestBuildSwapVerification:
             return False
 
         monkeypatch.setattr(build_cli, "verify_swap", failing_swap)
-        assert build_cli.main(["--backend", "ckernel"]) == 1
+        assert build_cli.main([]) == 1
         # The probe ran with the freshly written manifest active...
         assert manifest_active == [True]
         # ...and the failed build left no manifest behind.

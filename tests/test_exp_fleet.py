@@ -208,10 +208,9 @@ class TestCache:
         # A pure run with a build manifest on disk == a pure run without.
         assert fingerprint("pure", "ckernel") == fingerprint("pure", None)
         # An actually-running compiled kernel still gets its own entries,
-        # keyed by backend.
+        # keyed by the build mode alone (there is one backend).
         assert fingerprint("accel", "ckernel") != fingerprint("pure", None)
-        assert fingerprint("accel", "ckernel") != fingerprint(
-            "accel", "mypyc")
+        assert fingerprint("accel", "ckernel") == fingerprint("accel", None)
 
 
 class TestWorkerErrors:

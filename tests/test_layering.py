@@ -224,6 +224,7 @@ def test_detects_experiments_importing_accel(tmp_path):
 
 
 def test_kernel_shims_and_package_root_may_import_accel(tmp_path):
+    # The three kernel modules with a C twin carry the install() hook.
     seed_tree(str(tmp_path), {
         "repro/__init__.py": "from repro._accel import build_mode\n",
         "repro/_accel/__init__.py": "",
@@ -232,10 +233,24 @@ def test_kernel_shims_and_package_root_may_import_accel(tmp_path):
             "from repro._accel import install\ninstall(globals())\n"
         ),
         "repro/storage/__init__.py": "",
+        "repro/storage/counters.py": "from repro._accel import install\n",
         "repro/storage/mvstore.py": "from repro._accel import install\n",
     })
     result = run_checker("--src", str(tmp_path))
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_detects_kernel_module_without_c_twin_importing_accel(tmp_path):
+    # A kernel module with no C twin has no install() hook to carry.
+    seed_tree(str(tmp_path), {
+        "repro/__init__.py": "",
+        "repro/_accel/__init__.py": "",
+        "repro/sim/__init__.py": "",
+        "repro/sim/events.py": "from repro._accel import install\n",
+    })
+    result = run_checker("--src", str(tmp_path))
+    assert result.returncode == 1
+    assert "repro.sim.events imports 'repro._accel'" in result.stdout
 
 
 def test_detects_module_level_numeric_import(tmp_path):

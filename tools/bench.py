@@ -43,15 +43,12 @@ SCHEMA_VERSION = 1
 def current_build() -> dict:
     """The kernel build this process runs: ``{"mode": ..., "backend": ...}``.
 
-    ``mode`` is what the loader actually selected ("pure"/"accel"); the
-    backend is reported only when the mode is accel, so a built-but-
-    disabled checkout (``REPRO_ACCEL=0``) still counts as pure.
+    ``mode`` is what the loader actually selected ("pure"/"accel"); a
+    built-but-disabled checkout (``REPRO_ACCEL=0``) counts as pure.
     """
     import repro
 
-    mode = repro.build_mode()
-    backend = repro.accel_backend() if mode == "accel" else None
-    return {"mode": mode, "backend": backend}
+    return {"mode": repro.build_mode(), "backend": repro.accel_backend()}
 
 #: ``--profile`` targets: benchmark name -> zero-arg callable factory.
 #: Each runs one suite workload once at the chosen mode's sizing.

@@ -1,15 +1,11 @@
 #!/usr/bin/env python3
 """Build the optional accelerated ("accel") kernel for repro.
 
-Two backends produce compiled twins under ``src/repro/_accel/``:
-
-* ``ckernel`` — hand-written CPython C extensions for the three hottest
-  modules (``sim.simulator``, ``storage.counters``, ``storage.mvstore``).
-  Needs only a C compiler and the CPython headers; no third-party
-  packages.  This is the tuned, preferred backend.
-* ``mypyc`` — mypyc-compiled mirrors of all eight kernel modules.
-  Needs ``mypy`` installed (``pip install .[accel]``).  Used when no C
-  sources apply or as the portable fallback.
+The ``ckernel`` backend compiles the hand-written CPython C extensions in
+``src/repro/_accel/_csrc/`` — one per module in
+``repro._accel.KERNEL_MODULES`` (``sim.simulator``, ``storage.counters``,
+``storage.mvstore``) — into compiled twins under ``src/repro/_accel/``.
+It needs only a C compiler, the CPython headers and setuptools.
 
 The build writes ``src/repro/_accel/_manifest.json`` recording the
 backend and the canonical module names that now have compiled twins.
@@ -19,8 +15,7 @@ it are swapped to their compiled twins at import time (unless
 
 Usage::
 
-    python tools/build_accel.py                   # auto backend
-    python tools/build_accel.py --backend ckernel
+    python tools/build_accel.py                   # build
     python tools/build_accel.py --if-available    # exit 0 when no toolchain
     python tools/build_accel.py --clean           # remove all accel artifacts
     python tools/build_accel.py --status          # show manifest + importability
@@ -29,9 +24,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -42,30 +37,28 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_ROOT = os.path.join(REPO_ROOT, "src")
 ACCEL_DIR = os.path.join(SRC_ROOT, "repro", "_accel")
 CSRC_DIR = os.path.join(ACCEL_DIR, "_csrc")
-MYC_DIR = os.path.join(ACCEL_DIR, "_myc")
 MANIFEST = os.path.join(ACCEL_DIR, "_manifest.json")
+BACKEND = "ckernel"
 
-#: canonical module -> short accel module name (see repro._accel).
-KERNEL_MODULES = {
-    "repro.sim.events": "sim_events",
-    "repro.sim.process": "sim_process",
-    "repro.sim.simulator": "sim_simulator",
-    "repro.net.message": "net_message",
-    "repro.net.network": "net_network",
-    "repro.storage.values": "storage_values",
-    "repro.storage.counters": "storage_counters",
-    "repro.storage.mvstore": "storage_mvstore",
-}
 
-#: canonical module -> C source, for the ckernel backend.
-CKERNEL_SOURCES = {
-    "repro.sim.simulator": "simulator.c",
-    "repro.storage.counters": "counters.c",
-    "repro.storage.mvstore": "mvstore.c",
-}
+def _load_loader():
+    """The ``repro._accel`` loader, executed from its file: importing the
+    ``repro`` package would swap in the very twins this tool rebuilds."""
+    spec = importlib.util.spec_from_file_location(
+        "_repro_accel_loader", os.path.join(ACCEL_DIR, "__init__.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-HOOK_START = "# --- accelerated-build hook"
-HOOK_END = "# --- end accelerated-build hook"
+
+_LOADER = _load_loader()
+KERNEL_MODULES = _LOADER.KERNEL_MODULES
+accel_module_name = _LOADER.accel_module_name
+
+
+def c_source(canonical: str) -> str:
+    """``repro.storage.mvstore`` -> ``.../_accel/_csrc/mvstore.c``."""
+    return os.path.join(CSRC_DIR, canonical.rsplit(".", 1)[1] + ".c")
 
 
 def log(message: str) -> None:
@@ -101,14 +94,6 @@ def have_c_toolchain() -> bool:
     return os.path.isfile(os.path.join(include, "Python.h"))
 
 
-def have_mypyc() -> bool:
-    try:
-        import mypyc  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 def run_build_ext(extensions, build_lib: str) -> None:
     """Compile ``extensions`` into ``build_lib`` via setuptools."""
     from setuptools.command.build_ext import build_ext
@@ -126,7 +111,7 @@ def verify_import(canonical: str) -> bool:
     """Can the compiled twin of ``canonical`` be imported in a clean
     interpreter?  Runs with REPRO_ACCEL=0 so the loader hooks stay pure
     while the twin itself is exercised."""
-    accel_name = "repro._accel." + KERNEL_MODULES[canonical]
+    accel_name = accel_module_name(canonical)
     env = dict(os.environ)
     env["REPRO_ACCEL"] = "0"
     env["PYTHONPATH"] = SRC_ROOT + os.pathsep + env.get("PYTHONPATH", "")
@@ -150,10 +135,9 @@ def verify_swap() -> bool:
     every canonical kernel module in a clean interpreter.  This is the
     check :func:`verify_import` cannot make: a twin can import fine in
     isolation yet break the package once the loader swaps it in — e.g. a
-    compiled base class that rejects the interpreted subclasses defined
-    by the pure module bodies that always execute to reach their install
-    hooks.  A build that fails here would brick every ``import repro``
-    until ``--clean``, so it must never leave a manifest behind."""
+    twin missing a public name of its pure module.  A build that fails
+    here would brick every ``import repro`` until ``--clean``, so it must
+    never leave a manifest behind."""
     env = dict(os.environ)
     env["REPRO_ACCEL"] = "1"
     env["PYTHONPATH"] = SRC_ROOT + os.pathsep + env.get("PYTHONPATH", "")
@@ -161,7 +145,8 @@ def verify_swap() -> bool:
         "import repro\n"
         + "".join(f"import {name}\n" for name in sorted(KERNEL_MODULES))
         + "import repro._accel as _accel\n"
-        "assert _accel.build_mode() == 'accel', _accel.accel_status()\n"
+        "assert _accel.build_mode() == 'accel', "
+        "_accel.accelerated_modules()\n"
     )
     probe = subprocess.run(
         [sys.executable, "-c", code],
@@ -177,13 +162,13 @@ def verify_swap() -> bool:
     return True
 
 
-def write_manifest(backend: str, modules: list) -> None:
-    payload = {"backend": backend, "modules": sorted(modules)}
+def write_manifest(modules: list) -> None:
+    payload = {"backend": BACKEND, "modules": sorted(modules)}
     with open(MANIFEST, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     log(f"wrote {os.path.relpath(MANIFEST, REPO_ROOT)}: "
-        f"backend={backend}, {len(modules)} modules")
+        f"backend={BACKEND}, {len(modules)} modules")
 
 
 def clean(verbose: bool = True) -> None:
@@ -191,14 +176,6 @@ def clean(verbose: bool = True) -> None:
     for path in built_extension_files(ACCEL_DIR):
         os.unlink(path)
         removed.append(path)
-    for short in KERNEL_MODULES.values():
-        forwarder = os.path.join(ACCEL_DIR, short + ".py")
-        if os.path.isfile(forwarder):
-            os.unlink(forwarder)
-            removed.append(forwarder)
-    if os.path.isdir(MYC_DIR):
-        shutil.rmtree(MYC_DIR)
-        removed.append(MYC_DIR)
     if os.path.isfile(MANIFEST):
         os.unlink(MANIFEST)
         removed.append(MANIFEST)
@@ -214,22 +191,20 @@ def clean(verbose: bool = True) -> None:
 
 
 # ----------------------------------------------------------------------
-# ckernel backend
+# Build
 # ----------------------------------------------------------------------
 
 def build_ckernel() -> list:
     from setuptools import Extension
 
-    extensions = []
-    for canonical, source in sorted(CKERNEL_SOURCES.items()):
-        accel_name = "repro._accel." + KERNEL_MODULES[canonical]
-        extensions.append(
-            Extension(
-                accel_name,
-                sources=[os.path.join(CSRC_DIR, source)],
-                extra_compile_args=["-O2"],
-            )
+    extensions = [
+        Extension(
+            accel_module_name(canonical),
+            sources=[c_source(canonical)],
+            extra_compile_args=["-O2"],
         )
+        for canonical in sorted(KERNEL_MODULES)
+    ]
     with tempfile.TemporaryDirectory(prefix="repro-accel-") as build_lib:
         run_build_ext(extensions, build_lib)
         built_dir = os.path.join(build_lib, "repro", "_accel")
@@ -243,94 +218,6 @@ def build_ckernel() -> list:
             target = os.path.join(ACCEL_DIR, os.path.basename(path))
             shutil.copy2(path, target)
             log(f"installed {os.path.relpath(target, REPO_ROOT)}")
-    return sorted(CKERNEL_SOURCES)
-
-
-# ----------------------------------------------------------------------
-# mypyc backend
-# ----------------------------------------------------------------------
-
-def generate_mirror(canonical: str) -> str:
-    """Pure-module source with the accel hook stripped and intra-kernel
-    imports rewritten to the mirror package."""
-    path = os.path.join(SRC_ROOT, *canonical.split(".")) + ".py"
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    lines = []
-    skipping = False
-    for line in source.splitlines(keepends=True):
-        stripped = line.strip()
-        if stripped.startswith(HOOK_START):
-            skipping = True
-            continue
-        if stripped.startswith(HOOK_END):
-            skipping = False
-            continue
-        if not skipping:
-            lines.append(line)
-    source = "".join(lines)
-    for other, short in KERNEL_MODULES.items():
-        source = re.sub(
-            rf"\bfrom {re.escape(other)} import\b",
-            f"from repro._accel._myc.{short} import",
-            source,
-        )
-        source = re.sub(
-            rf"\bimport {re.escape(other)}\b",
-            f"import repro._accel._myc.{short}",
-            source,
-        )
-    return source
-
-
-def build_mypyc() -> list:
-    from mypyc.build import mypycify
-
-    os.makedirs(MYC_DIR, exist_ok=True)
-    init_path = os.path.join(MYC_DIR, "__init__.py")
-    with open(init_path, "w", encoding="utf-8") as handle:
-        handle.write('"""mypyc-compiled kernel mirrors (generated)."""\n')
-    mirror_paths = []
-    for canonical, short in sorted(KERNEL_MODULES.items()):
-        mirror = os.path.join(MYC_DIR, short + ".py")
-        with open(mirror, "w", encoding="utf-8") as handle:
-            handle.write(generate_mirror(canonical))
-        mirror_paths.append(mirror)
-
-    # mypycify resolves module names from paths relative to the cwd.
-    previous = os.getcwd()
-    os.chdir(SRC_ROOT)
-    try:
-        relative = [os.path.relpath(p, SRC_ROOT) for p in mirror_paths]
-        extensions = mypycify(relative, opt_level="3")
-        with tempfile.TemporaryDirectory(prefix="repro-accel-") as build_lib:
-            run_build_ext(extensions, build_lib)
-            for dirpath, _dirnames, filenames in os.walk(build_lib):
-                if os.path.basename(dirpath) == "temp":
-                    continue
-                for name in filenames:
-                    if not name.endswith(tuple(ext_suffixes())):
-                        continue
-                    source = os.path.join(dirpath, name)
-                    target = os.path.join(
-                        SRC_ROOT, os.path.relpath(source, build_lib)
-                    )
-                    os.makedirs(os.path.dirname(target), exist_ok=True)
-                    shutil.copy2(source, target)
-                    log(f"installed {os.path.relpath(target, REPO_ROOT)}")
-    finally:
-        os.chdir(previous)
-
-    # Forwarders make the mirrors importable under the loader's canonical
-    # accel names (repro._accel.sim_events -> repro._accel._myc.sim_events).
-    for canonical, short in sorted(KERNEL_MODULES.items()):
-        forwarder = os.path.join(ACCEL_DIR, short + ".py")
-        with open(forwarder, "w", encoding="utf-8") as handle:
-            handle.write(
-                f'"""Generated forwarder to the mypyc mirror of '
-                f'{canonical}."""\n'
-                f"from repro._accel._myc.{short} import *  # noqa: F401,F403\n"
-            )
     return sorted(KERNEL_MODULES)
 
 
@@ -360,12 +247,6 @@ def status() -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--backend",
-        choices=("auto", "ckernel", "mypyc"),
-        default="auto",
-        help="which compiler to use (auto prefers ckernel, then mypyc)",
-    )
-    parser.add_argument(
         "--if-available",
         action="store_true",
         help="exit 0 (without building) when no toolchain is present",
@@ -386,48 +267,24 @@ def main(argv=None) -> int:
     if options.status:
         return status()
 
-    backend = options.backend
-    if backend == "auto":
-        if have_c_toolchain():
-            backend = "ckernel"
-        elif have_mypyc():
-            backend = "mypyc"
-        else:
-            message = ("no accel toolchain: need a C compiler with CPython "
-                       "headers (ckernel) or mypy installed (mypyc)")
-            if options.if_available:
-                log(message + " — skipping build")
-                return 0
-            log(message)
-            return 1
-    elif backend == "ckernel" and not have_c_toolchain():
-        message = "ckernel backend needs a C compiler and CPython headers"
-        if options.if_available:
-            log(message + " — skipping build")
-            return 0
-        log(message)
-        return 1
-    elif backend == "mypyc" and not have_mypyc():
-        message = "mypyc backend needs mypy installed (pip install .[accel])"
+    if not have_c_toolchain():
+        message = ("no accel toolchain: need a C compiler with CPython "
+                   "headers")
         if options.if_available:
             log(message + " — skipping build")
             return 0
         log(message)
         return 1
 
-    # Never mix artifacts from two backends.
     clean(verbose=False)
-    log(f"building accel kernel with the {backend} backend")
-    if backend == "ckernel":
-        modules = build_ckernel()
-    else:
-        modules = build_mypyc()
+    log(f"building accel kernel with the {BACKEND} backend")
+    modules = build_ckernel()
     bad = [m for m in modules if not verify_import(m)]
     if bad:
         log(f"build verification failed for: {', '.join(bad)}")
         clean(verbose=False)
         return 1
-    write_manifest(backend, modules)
+    write_manifest(modules)
     if not verify_swap():
         log("swap verification failed — removing the broken build")
         clean(verbose=False)

@@ -44,13 +44,15 @@ guarantees, and this script keeps them true by construction:
    every protocol and the unreplicated path never loads it at all.
 
 6. **Build selection is invisible.**  ``repro._accel`` (the
-   accelerated-build loader) may be imported only by the eight kernel
-   modules that end with its ``install()`` hook and by the package root
-   (which re-exports ``build_mode`` etc. for reporting).  Protocol,
-   runtime, and experiment code must never import it: they bind whatever
-   implementation the kernel modules expose, so the pure and compiled
-   builds stay interchangeable.  Introspection goes through the
-   ``repro``-root re-exports.
+   accelerated-build loader) may be imported only by the kernel modules
+   with a C twin, which end with its ``install()`` hook, and by the
+   package root (which re-exports ``build_mode`` etc. for reporting).
+   Protocol, runtime, and experiment code must never import it: they
+   bind whatever implementation the kernel modules expose, so the pure
+   and compiled builds stay interchangeable.  Introspection goes through
+   the ``repro``-root re-exports.  The kernel modules are read from
+   ``repro._accel.KERNEL_MODULES`` in this repository's own source, so
+   the loader's list is the only one.
 
 7. **The numeric stack loads on demand.**  No module under ``repro/``
    may import ``scipy``, ``numpy`` or ``networkx`` at module level: only
@@ -111,21 +113,8 @@ PLACEMENT_ALLOWED = (
     "repro.net",
 )
 
-#: The only modules allowed to import ``repro._accel``: the kernel
-#: modules carrying the install() hook, the loader package itself, and
-#: the package root (re-export surface for build_mode/accel_backend).
-ACCEL_IMPORTERS = (
-    "repro",
-    "repro._accel",
-    "repro.sim.events",
-    "repro.sim.process",
-    "repro.sim.simulator",
-    "repro.net.message",
-    "repro.net.network",
-    "repro.storage.values",
-    "repro.storage.counters",
-    "repro.storage.mvstore",
-)
+#: The accelerated-build loader, whose ``KERNEL_MODULES`` rule 6 reads.
+ACCEL_LOADER = os.path.join(SRC_ROOT, "repro", "_accel", "__init__.py")
 
 #: Third-party packages importable only inside a function body.
 DEFERRED_ONLY = ("scipy", "numpy", "networkx")
@@ -212,6 +201,18 @@ def eager_imports(path: str) -> typing.List[typing.Tuple[int, str]]:
     return sorted(found)
 
 
+def accel_importers() -> typing.Tuple[str, ...]:
+    """The only modules allowed to import ``repro._accel``: the package
+    root (re-export surface for build_mode/accel_backend) and the kernel
+    modules carrying the install() hook, read statically from the loader."""
+    for node in parse(ACCEL_LOADER).body:
+        if (isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name)
+                and node.target.id == "KERNEL_MODULES"):
+            return ("repro",) + tuple(ast.literal_eval(node.value))
+    raise RuntimeError(f"{ACCEL_LOADER} defines no KERNEL_MODULES")
+
+
 def hits(imported: str, prefixes: typing.Sequence[str]) -> bool:
     return any(
         imported == prefix or imported.startswith(prefix + ".")
@@ -228,6 +229,7 @@ def in_group(module: str) -> typing.Optional[str]:
 
 def check(src_root: str) -> typing.List[str]:
     violations = []
+    may_import_accel = accel_importers()
     for directory, _, filenames in sorted(os.walk(os.path.join(src_root, "repro"))):
         for filename in sorted(filenames):
             if not filename.endswith(".py"):
@@ -278,7 +280,7 @@ def check(src_root: str) -> typing.List[str]:
                         f"the runtime or a protocol plugin)"
                     )
                 if (hits(imported, ("repro._accel",))
-                        and module not in ACCEL_IMPORTERS
+                        and module not in may_import_accel
                         and not hits(module, ("repro._accel",))):
                     violations.append(
                         f"{display}:{lineno}: {module} imports "
